@@ -8,7 +8,10 @@
 //	                          gathers CI_q from the webhook per mediation
 //	POST   /v1/workers        start+register a worker {id, capacity, queue_cap,
 //	                          intention, classes, intention_url}; with
-//	                          intention_url PI_q comes from the webhook
+//	                          intention_url PI_q comes from the webhook;
+//	                          queue_cap (0 = 1024) bounds the tasks waiting
+//	                          behind the one in service and is not a
+//	                          preallocation: an idle worker holds no queue
 //	DELETE /v1/workers/{id}   stop and unregister a worker
 //	POST   /v1/queries        submit {consumer, class, n, work, wait:none|allocation|results,
 //	                          qos, deadline_ms}; qos names a service class,

@@ -80,6 +80,22 @@ type gateway struct {
 // webhook call, effective even with -participant-deadline 0.
 const webhookClientTimeout = 30 * time.Second
 
+// webhookMaxIdleConnsPerHost is how many keep-alive connections the webhook
+// client parks per participant host between calls. http.DefaultTransport
+// parks 2, so every burst of concurrent intention calls to one host dialled
+// afresh for all but two of them and closed the extras once it ended. 64
+// covers the fan-out of a few concurrent mediations against one webhook
+// server.
+const webhookMaxIdleConnsPerHost = 64
+
+// newWebhookClient builds the client for intention webhook calls, on its own
+// transport so its connection pool is sized for fan-out bursts.
+func newWebhookClient() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = webhookMaxIdleConnsPerHost
+	return &http.Client{Timeout: webhookClientTimeout, Transport: tr}
+}
+
 // managedWorker is a worker the gateway started and owns: the plain local
 // executor or its webhook-backed decoration.
 type managedWorker interface {
@@ -94,7 +110,7 @@ type managedWorker interface {
 func newGatewayShell() *gateway {
 	return &gateway{
 		hub:           newHub(),
-		webhookClient: &http.Client{Timeout: webhookClientTimeout},
+		webhookClient: newWebhookClient(),
 		forwardClient: &http.Client{},
 		shuttingDown:  make(chan struct{}),
 		workers:       make(map[sbqa.ProviderID]managedWorker),
@@ -221,6 +237,7 @@ func (g *gateway) close() {
 	if g.eng != nil {
 		g.eng.Close()
 	}
+	g.webhookClient.CloseIdleConnections()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, w := range g.workers {
@@ -354,11 +371,12 @@ func (g *gateway) handleRegisterConsumer(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusCreated, map[string]int{"id": req.ID})
 }
 
-// workerRequest starts a goroutine worker with a constant intention,
-// optionally class-restricted. With intention_url the worker's
-// mediation-time intention is gathered from the webhook instead (the
-// constant becomes the fallback for non-batched paths); execution still
-// happens on the daemon's goroutines at the declared capacity.
+// workerRequest starts a worker with a constant intention, optionally
+// class-restricted. With intention_url the worker's mediation-time
+// intention is gathered from the webhook instead (the constant becomes the
+// fallback for non-batched paths); execution still happens in the daemon at
+// the declared capacity. queue_cap bounds the tasks waiting behind the one
+// in service (0 means 1024); it is a limit, not a preallocation.
 type workerRequest struct {
 	ID           int     `json:"id"`
 	Capacity     float64 `json:"capacity"`
@@ -857,14 +875,15 @@ func (g *gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
+	// Subscribe before the headers go out: a client that has seen the 200
+	// must receive every event published after it.
+	ch, unsubscribe := g.hub.subscribe()
+	defer unsubscribe()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-
-	ch, unsubscribe := g.hub.subscribe()
-	defer unsubscribe()
 	for {
 		select {
 		case ev := <-ch:

@@ -1,5 +1,5 @@
 // Live example: the SbQA mediation embedded in a real concurrent program,
-// running on the asynchronous Engine API. Workers run on goroutines with
+// running on the asynchronous Engine API. Workers run on timers with
 // wall-clock service times; submitters fan tickets out from several
 // goroutines at once; queries route to mediator shards by consumer, so
 // distinct consumers mediate in parallel while the shared satisfaction

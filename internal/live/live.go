@@ -1,6 +1,6 @@
 // Package live embeds the SbQA mediation pipeline in a real concurrent
 // runtime: consumers submit queries from any goroutine, workers (providers)
-// execute work on their own goroutines, and a sharded mediation engine
+// execute work in real time on timers, and a sharded mediation engine
 // allocates queries in parallel. This is the embedding a downstream system
 // would use in production — the deterministic twin for experiments lives in
 // internal/boinc.
@@ -48,6 +48,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -76,13 +77,19 @@ type Executor interface {
 	accept(ctx context.Context, q model.Query, results chan<- Result, abandon chan<- model.ProviderID) bool
 }
 
-// Worker executes queries on its own goroutine at a fixed capacity.
-// It implements mediator.Provider; all mediator-facing reads are
-// mutex-guarded because mediations and executions run on different
-// goroutines (and, in the sharded engine, on different shards at once).
+// Worker executes queries at a fixed capacity without a goroutine of its
+// own. Its backlog is a mutex-guarded FIFO: an inline slot holds the task in
+// service and a ring, grown on demand up to queueCap, holds the tasks
+// waiting behind it. One reusable timer, armed only while a task is in
+// service, completes that task and starts the next, so an idle worker costs
+// this struct and a stopped timer. It implements mediator.Provider; all
+// mediator-facing reads are mutex-guarded because accepts, completions and
+// mediations run on different goroutines (and, in the sharded engine, on
+// different shards at once).
 type Worker struct {
 	id       model.ProviderID
 	capacity float64 // work units per second (real time)
+	queueCap int     // most tasks waiting behind the one in service
 
 	// IntentionFn maps a query to this worker's intention; required.
 	intentionFn func(q model.Query) model.Intention
@@ -94,13 +101,16 @@ type Worker struct {
 
 	mu          sync.Mutex
 	pendingWork float64
-	queueLen    int
-	sat         float64 // last satisfaction pushed by the service; info only
-	shutdown    bool    // set under mu before done closes; gates accept
-
-	tasks  chan task
-	done   chan struct{}
-	closed sync.Once
+	queueLen    int  // accepted tasks not yet completed: in service + waiting
+	shutdown    bool // set by Close; gates accept
+	// busy is set from the moment a task enters service until the timer
+	// callback has delivered its result and found nothing waiting; serving
+	// narrows it to "inService holds a task whose timer is armed".
+	busy      bool
+	serving   bool
+	inService task
+	waiting   taskRing
+	timer     *time.Timer // fires complete; armed only while serving
 }
 
 type task struct {
@@ -114,8 +124,10 @@ type task struct {
 	start   time.Time
 }
 
-// NewWorker starts a worker goroutine. capacity must be > 0; queueCap bounds
-// the task backlog (0 means 1024).
+// NewWorker builds an idle worker. capacity must be > 0; queueCap bounds the
+// number of tasks waiting behind the one in service (0 means 1024). The
+// bound is a limit, not a preallocation: queue memory grows with the backlog
+// actually held.
 func NewWorker(id model.ProviderID, capacity float64, queueCap int, intentionFn func(model.Query) model.Intention) (*Worker, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("live: worker %d capacity %v must be positive", id, capacity)
@@ -129,118 +141,152 @@ func NewWorker(id model.ProviderID, capacity float64, queueCap int, intentionFn 
 	w := &Worker{
 		id:          id,
 		capacity:    capacity,
+		queueCap:    queueCap,
 		intentionFn: intentionFn,
-		tasks:       make(chan task, queueCap),
-		done:        make(chan struct{}),
 	}
-	go w.run()
+	// Created here, at registration, so the first task's hand-off allocates
+	// nothing; it stays stopped until a task enters service.
+	w.timer = time.AfterFunc(time.Duration(math.MaxInt64), w.complete)
+	w.timer.Stop()
 	return w, nil
 }
 
-// run executes queued tasks serially, simulating service time by sleeping
-// work/capacity seconds of real time. It exits via the done channel — the
-// tasks channel is never closed, because concurrent dispatchers may be
-// mid-send when the worker shuts down (closing it would race). On exit it
-// abandons the in-service task and everything still queued, signalling each
-// task's abandon channel so ticket collectors never wait on work that will
-// not happen; Close sets the shutdown flag before done closes, so no new
-// task can slip in after the drain.
-func (w *Worker) run() {
-	for {
-		var t task
-		select {
-		case t = <-w.tasks:
-		case <-w.done:
-			w.abandonPending(nil)
-			return
-		}
-		service := time.Duration(t.q.Work / w.capacity * float64(time.Second))
-		timer := time.NewTimer(service)
-		select {
-		case <-timer.C:
-		case <-w.done:
-			timer.Stop()
-			w.abandonPending(&t)
-			return
-		}
-		w.mu.Lock()
-		w.pendingWork -= t.q.Work
-		if w.pendingWork < 0 {
-			w.pendingWork = 0
-		}
-		w.queueLen--
-		w.mu.Unlock()
-		if t.results != nil {
-			t.results <- Result{Query: t.q, Provider: w.id, Latency: time.Since(t.start)}
-		}
-	}
+// serve puts t in service and arms the timer for its service time,
+// work/capacity seconds of real time. Called with mu held.
+func (w *Worker) serve(t task) {
+	w.inService, w.serving = t, true
+	w.timer.Reset(time.Duration(t.q.Work / w.capacity * float64(time.Second)))
 }
 
-// abandonPending signals abandonment for the interrupted in-service task
-// (if any) and every task still queued at shutdown, and zeroes the backlog
-// accounting. It runs on the worker goroutine after done closed; accept
-// checks the shutdown flag under the same mutex Close sets it under, so no
-// new task can be enqueued once the drain loop observes an empty channel.
-func (w *Worker) abandonPending(inService *task) {
-	abandon := func(t task) {
-		if t.abandon != nil {
-			t.abandon <- w.id
-		}
+// complete is the timer callback: it retires the task in service, delivers
+// its result, then starts the next waiting task or marks the worker idle.
+// The worker serves nothing until the result send completes, so a consumer
+// that stops reading results backs the worker's queue up until accept
+// refuses. A callback that finds nothing in service lost a race with Close,
+// which already abandoned the task.
+func (w *Worker) complete() {
+	w.mu.Lock()
+	if !w.serving {
+		w.mu.Unlock()
+		return
 	}
-	if inService != nil {
-		abandon(*inService)
+	t := w.inService
+	w.inService, w.serving = task{}, false
+	w.pendingWork -= t.q.Work
+	if w.pendingWork < 0 {
+		w.pendingWork = 0
 	}
-	for {
-		select {
-		case t := <-w.tasks:
-			abandon(t)
-		default:
-			w.mu.Lock()
-			w.pendingWork = 0
-			w.queueLen = 0
-			w.mu.Unlock()
-			return
-		}
+	w.queueLen--
+	w.mu.Unlock()
+	if t.results != nil {
+		t.results <- Result{Query: t.q, Provider: w.id, Latency: time.Since(t.start)}
 	}
+	w.mu.Lock()
+	if next, ok := w.waiting.pop(); ok {
+		w.serve(next)
+	} else {
+		w.busy = false
+	}
+	w.mu.Unlock()
 }
 
 // accept enqueues a task without blocking: false if the worker is shutting
-// down, the queue is full, or the context is already done. Dispatch must
-// never park a mediation shard or stall a batch behind one saturated
-// worker, so a full queue refuses the hand-off immediately (the engine
-// reports ErrDispatch) rather than waiting for space. The enqueue happens
-// under the worker mutex against the shutdown flag, so a task is either
-// refused or guaranteed to be delivered-or-abandoned by the run loop —
-// never silently lost.
+// down, queueCap tasks already wait, or the context is already done.
+// Dispatch must never park a mediation shard or stall a batch behind one
+// saturated worker, so a full queue refuses the hand-off immediately (the
+// engine reports ErrDispatch) rather than waiting for space. The enqueue
+// happens under the worker mutex against the shutdown flag, so a task is
+// either refused or guaranteed to be delivered or abandoned — never
+// silently lost.
 func (w *Worker) accept(ctx context.Context, q model.Query, results chan<- Result, abandon chan<- model.ProviderID) bool {
 	if ctx.Err() != nil {
 		return false
 	}
+	t := task{q: q, results: results, abandon: abandon, start: time.Now()}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.shutdown {
+	switch {
+	case w.shutdown:
+		return false
+	case !w.busy:
+		w.busy = true
+		w.serve(t)
+	case !w.waiting.push(t, w.queueCap):
 		return false
 	}
-	select {
-	case w.tasks <- task{q: q, results: results, abandon: abandon, start: time.Now()}:
-		w.pendingWork += q.Work
-		w.queueLen++
-		return true
-	default:
-		return false
+	w.pendingWork += q.Work
+	w.queueLen++
+	return true
+}
+
+// Close stops the worker. The task in service and the queued ones are
+// abandoned: their Results never arrive, but tasks dispatched through the
+// ticket path signal their tickets so collectors complete instead of waiting
+// forever. A result already being delivered still arrives.
+func (w *Worker) Close() {
+	w.mu.Lock()
+	if w.shutdown {
+		w.mu.Unlock()
+		return
+	}
+	w.shutdown = true
+	w.timer.Stop()
+	inService, serving := w.inService, w.serving
+	w.inService, w.serving = task{}, false
+	waiting := w.waiting
+	w.waiting = taskRing{}
+	w.pendingWork, w.queueLen = 0, 0
+	w.mu.Unlock()
+	if serving {
+		w.signalAbandon(inService)
+	}
+	for t, ok := waiting.pop(); ok; t, ok = waiting.pop() {
+		w.signalAbandon(t)
 	}
 }
 
-// Close stops the worker. Queued tasks are abandoned: their Results never
-// arrive, but tasks dispatched through the ticket path signal their tickets
-// so collectors complete instead of waiting forever.
-func (w *Worker) Close() {
-	w.closed.Do(func() {
-		w.mu.Lock()
-		w.shutdown = true
-		close(w.done)
-		w.mu.Unlock()
-	})
+func (w *Worker) signalAbandon(t task) {
+	if t.abandon != nil {
+		t.abandon <- w.id
+	}
+}
+
+// taskRing is the FIFO of tasks waiting for service. It starts empty and
+// doubles on demand up to the bound push is given, so its memory follows
+// the backlog the worker actually holds rather than the bound.
+type taskRing struct {
+	buf  []task
+	head int // index of the oldest task
+	n    int // tasks held
+}
+
+// push appends t, growing the ring if needed; false once it holds limit
+// tasks.
+func (r *taskRing) push(t task, limit int) bool {
+	if r.n == len(r.buf) {
+		if r.n >= limit {
+			return false
+		}
+		buf := make([]task, min(max(4, 2*len(r.buf)), limit))
+		copy(buf, r.buf[r.head:])
+		copy(buf[len(r.buf)-r.head:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = t
+	r.n++
+	return true
+}
+
+// pop removes and returns the oldest task, if any.
+func (r *taskRing) pop() (task, bool) {
+	if r.n == 0 {
+		return task{}, false
+	}
+	t := r.buf[r.head]
+	r.buf[r.head] = task{} // drop the channel references
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return t, true
 }
 
 // ProviderID implements mediator.Provider.

@@ -409,7 +409,8 @@ type (
 	// Engine's machinery: Submit/SubmitBatch block through hand-off and
 	// deliver results on a caller-supplied channel.
 	LiveService = live.Service
-	// LiveWorker executes queries on its own goroutine.
+	// LiveWorker executes queries at a fixed capacity in real time, driven
+	// by a timer rather than a goroutine of its own.
 	LiveWorker = live.Worker
 	// LiveExecutor is the engine's dispatch contract; *LiveWorker (and
 	// types embedding it) implement it.
@@ -650,8 +651,10 @@ func NewLiveService(a Allocator, window int) *LiveService { return live.NewServi
 // one release; see DESIGN.md §4.
 func NewLiveEngine(cfg LiveConfig) (*LiveService, error) { return live.NewServiceWithConfig(cfg) }
 
-// NewLiveWorker starts a worker goroutine with the given capacity (work
-// units per real second) and intention function.
+// NewLiveWorker builds an idle worker with the given capacity (work units
+// per real second) and intention function. queueCap bounds the tasks
+// waiting behind the one in service (0 means 1024); queue memory grows with
+// the backlog actually held, not with the bound.
 func NewLiveWorker(id ProviderID, capacity float64, queueCap int, intentionFn func(Query) Intention) (*LiveWorker, error) {
 	return live.NewWorker(id, capacity, queueCap, intentionFn)
 }
