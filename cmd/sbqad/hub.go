@@ -26,9 +26,15 @@ type sseEvent struct {
 // enforces this. Drops are not silent: every per-subscriber drop increments
 // the dropped counter, surfaced as events_dropped in GET /v1/stats, so an
 // operator can tell a quiet stream from a lossy one.
+//
+// With no subscriber connected the hub costs nothing per event: active reads
+// an atomic subscriber count, and the observer callbacks and the result hook
+// check it before they build (and box) an event. A subscriber sees every
+// event published after subscribe returns.
 type hub struct {
 	mu      sync.Mutex
 	subs    map[chan sseEvent]struct{}
+	nsubs   atomic.Int32 // len(subs), readable without mu
 	dropped atomic.Uint64
 }
 
@@ -44,15 +50,24 @@ func (h *hub) subscribe() (<-chan sseEvent, func()) {
 	ch := make(chan sseEvent, subscriberBuffer)
 	h.mu.Lock()
 	h.subs[ch] = struct{}{}
+	h.nsubs.Store(int32(len(h.subs)))
 	h.mu.Unlock()
 	return ch, func() {
 		h.mu.Lock()
 		delete(h.subs, ch)
+		h.nsubs.Store(int32(len(h.subs)))
 		h.mu.Unlock()
 	}
 }
 
+// active reports whether any subscriber is connected. Callers check it
+// before building an event, so an unwatched stream allocates nothing.
+func (h *hub) active() bool { return h.nsubs.Load() > 0 }
+
 func (h *hub) publish(kind string, data any) {
+	if !h.active() {
+		return
+	}
 	h.mu.Lock()
 	for ch := range h.subs {
 		select {
@@ -142,6 +157,9 @@ type peerChangeEvent struct {
 func (h *hub) observer() sbqa.Observer {
 	return sbqa.ObserverFuncs{
 		Allocation: func(a *sbqa.Allocation, candidates int) {
+			if !h.active() {
+				return
+			}
 			h.publish("allocation", allocationEvent{
 				QueryID:    int64(a.Query.ID),
 				Consumer:   int(a.Query.Consumer),
@@ -150,6 +168,9 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		Rejection: func(q sbqa.Query, reason error) {
+			if !h.active() {
+				return
+			}
 			h.publish("rejection", rejectionEvent{
 				QueryID:  int64(q.ID),
 				Consumer: int(q.Consumer),
@@ -157,24 +178,42 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		DispatchFailure: func(q sbqa.Query, _ *sbqa.Allocation, err error) {
+			if !h.active() {
+				return
+			}
 			h.publish("dispatch_failure", dispatchFailureEvent{
 				QueryID: int64(q.ID),
 				Error:   err.Error(),
 			})
 		},
 		ProviderRegistered: func(id sbqa.ProviderID) {
+			if !h.active() {
+				return
+			}
 			h.publish("registered", participantEvent{Kind: "provider", ID: int(id)})
 		},
 		ProviderDeparted: func(id sbqa.ProviderID) {
+			if !h.active() {
+				return
+			}
 			h.publish("departed", participantEvent{Kind: "provider", ID: int(id)})
 		},
 		ConsumerRegistered: func(id sbqa.ConsumerID) {
+			if !h.active() {
+				return
+			}
 			h.publish("registered", participantEvent{Kind: "consumer", ID: int(id)})
 		},
 		ConsumerDeparted: func(id sbqa.ConsumerID) {
+			if !h.active() {
+				return
+			}
 			h.publish("departed", participantEvent{Kind: "consumer", ID: int(id)})
 		},
 		IntentionImputed: func(im sbqa.Imputation) {
+			if !h.active() {
+				return
+			}
 			errMsg := ""
 			if im.Err != nil {
 				errMsg = im.Err.Error()
@@ -189,6 +228,9 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		Shed: func(s sbqa.ShedEvent) {
+			if !h.active() {
+				return
+			}
 			h.publish("shed", shedEvent{
 				QueryID:         int64(s.Query.ID),
 				Consumer:        int(s.Query.Consumer),
@@ -199,6 +241,9 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		PolicyChange: func(pc sbqa.PolicyChange) {
+			if !h.active() {
+				return
+			}
 			h.publish("policy_change", policyChangeEvent{
 				Generation: pc.Generation,
 				Name:       pc.Name,
@@ -207,6 +252,9 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		PeerChange: func(pc sbqa.PeerChange) {
+			if !h.active() {
+				return
+			}
 			h.publish("peer_change", peerChangeEvent{
 				Node:  pc.Node,
 				Addr:  pc.Addr,
@@ -216,6 +264,9 @@ func (h *hub) observer() sbqa.Observer {
 			})
 		},
 		SatisfactionSnapshot: func(snap sbqa.SatisfactionSnapshot) {
+			if !h.active() {
+				return
+			}
 			ev := satisfactionEvent{
 				Time:      snap.Time,
 				Consumers: make(map[string]float64, len(snap.Consumers)),

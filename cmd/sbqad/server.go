@@ -74,6 +74,11 @@ type gateway struct {
 	// admissionRejected accumulates 429s across limiter swaps (each
 	// limiter's own counter dies with it).
 	admissionRejected atomic.Uint64
+
+	// onDone is the completion hook every submission carries
+	// (publishResults), built once so a submission allocates no closure
+	// for it.
+	onDone sbqa.QueryOption
 }
 
 // webhookClientTimeout is the transport-level ceiling on one intention
@@ -108,13 +113,15 @@ type managedWorker interface {
 // until init completes. serve uses this to bind the listener before the
 // (possibly long) state restore.
 func newGatewayShell() *gateway {
-	return &gateway{
+	g := &gateway{
 		hub:           newHub(),
 		webhookClient: newWebhookClient(),
 		forwardClient: &http.Client{},
 		shuttingDown:  make(chan struct{}),
 		workers:       make(map[sbqa.ProviderID]managedWorker),
 	}
+	g.onDone = sbqa.WithOnDone(g.publishResults)
+	return g
 }
 
 // init builds the engine — restoring persisted state when the options carry
@@ -553,7 +560,10 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			Start: admStart, End: sbqa.TraceNow(),
 		})
 	}
-	var qopts []sbqa.QueryOption
+	// Results reach the SSE stream whatever the caller waits for: the
+	// completion hook publishes them when the ticket completes.
+	var optBuf [3]sbqa.QueryOption
+	qopts := append(optBuf[:0], g.onDone)
 	if req.QoS != "" {
 		qopts = append(qopts, sbqa.WithQoSClass(req.QoS))
 	}
@@ -567,8 +577,6 @@ func (g *gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// them up. The request context still bounds how long the caller waits
 	// below.
 	t := eng.Submit(context.WithoutCancel(r.Context()), q, qopts...)
-	// Results reach the SSE stream whatever the caller waits for.
-	go g.publishResults(t)
 
 	resp := queryResponse{QueryID: int64(t.Query().ID)}
 	var lifeErr error
@@ -658,10 +666,14 @@ func writeShed(w http.ResponseWriter, se *sbqa.ShedError) {
 	})
 }
 
-// publishResults forwards a ticket's completion to the event stream as one
-// "result" event per worker delivery.
+// publishResults is every submission's completion hook: it forwards the
+// ticket's results to the event stream as one "result" event per worker
+// delivery. It runs on the goroutine that completed the ticket and never
+// blocks (publish drops for a full subscriber).
 func (g *gateway) publishResults(t *sbqa.Ticket) {
-	<-t.Done()
+	if !g.hub.active() {
+		return
+	}
 	for _, res := range t.Results() {
 		g.hub.publish("result", resultJSON{
 			QueryID:   int64(res.Query.ID),

@@ -148,6 +148,7 @@ func WithParticipantDeadline(d time.Duration) Option {
 // submitOptions collects per-query options.
 type submitOptions struct {
 	results       chan<- Result
+	onDone        func(*Ticket)
 	fireAndForget bool
 	qosClass      string
 	deadline      time.Duration
@@ -156,12 +157,29 @@ type submitOptions struct {
 // QueryOption configures one submission (see Engine.Submit).
 type QueryOption func(*submitOptions)
 
+// newTicket returns a ticket for q configured by the options.
+func (o *submitOptions) newTicket(q model.Query) *Ticket {
+	t := newTicket(q, o.results, !o.fireAndForget)
+	t.onDone = o.onDone
+	return t
+}
+
 // WithResults forwards the query's per-worker results to ch, in addition to
-// collecting them on the ticket. Forwarding happens on the ticket's
-// collector goroutine; a full channel stalls that ticket's collection, not
-// the engine.
+// collecting them on the ticket. Forwarding happens on a goroutine of the
+// ticket's own, started at hand-off; the ticket completes once every result
+// has been forwarded, so a full channel delays that ticket, never a worker
+// or the engine.
 func WithResults(ch chan<- Result) QueryOption {
 	return func(o *submitOptions) { o.results = ch }
+}
+
+// WithOnDone installs a completion hook: fn runs exactly once per ticket,
+// right after Done closes, on the goroutine that completes the ticket — a
+// worker's completion callback, a shard loop, or Submit itself when the
+// ticket fails before reaching a shard. fn must not block; it replaces a
+// goroutine parked on Done for callers that react to every completion.
+func WithOnDone(fn func(*Ticket)) QueryOption {
+	return func(o *submitOptions) { o.onDone = fn }
 }
 
 // FireAndForget disables the ticket's result collection: the ticket is done
@@ -463,7 +481,7 @@ func (e *Engine) shedTickets(tickets []*Ticket, info qos.ShedInfo) {
 			Reason:        info.Reason,
 			QueueDepth:    info.QueueDepth,
 			EstimatedWait: info.EstimatedWait,
-		}, nil, 0)
+		}, 0)
 		if e.svc.obs != nil {
 			e.svc.obs.OnShed(event.Shed{
 				Query:         t.query,
@@ -532,9 +550,9 @@ func (e *Engine) Submit(ctx context.Context, q model.Query, opts ...QueryOption)
 			tr.Annotate(q.Trace.ID, q.ID, q.Consumer)
 		}
 	}
-	t := newTicket(q, so.results, !so.fireAndForget)
+	t := so.newTicket(q)
 	if err := e.guardSubmit(q); err != nil {
-		t.finish(nil, err, nil, 0)
+		t.finish(nil, err, 0)
 		e.svc.traceFinish(q, "rejected", err, nil)
 		return t
 	}
@@ -605,11 +623,11 @@ func (e *Engine) SubmitBatch(ctx context.Context, queries []model.Query, opts ..
 				tr.Annotate(q.Trace.ID, q.ID, q.Consumer)
 			}
 		}
-		t := newTicket(q, so.results, !so.fireAndForget)
+		t := so.newTicket(q)
 		tickets[i] = t
 		if err := e.guardSubmit(q); err != nil {
 			// The guard rejects per query: the rest of the batch proceeds.
-			t.finish(nil, err, nil, 0)
+			t.finish(nil, err, 0)
 			e.svc.traceFinish(q, "rejected", err, nil)
 			continue
 		}
@@ -654,7 +672,7 @@ func (e *Engine) enqueue(ctx context.Context, idx int, class string, deadline fl
 // failTickets completes tickets that never reached a shard.
 func failTickets(tickets []*Ticket, err error) {
 	for _, t := range tickets {
-		t.finish(nil, err, nil, 0)
+		t.finish(nil, err, 0)
 	}
 }
 

@@ -15,6 +15,13 @@ import (
 // newTestEngine builds a 2-shard async engine with real workers.
 func newTestEngine(t *testing.T, opts ...Option) (*Engine, []*Worker) {
 	t.Helper()
+	return newTestEngineQueue(t, 128, opts...)
+}
+
+// newTestEngineQueue is newTestEngine with each worker's waiting-queue bound
+// set to queueCap.
+func newTestEngineQueue(t *testing.T, queueCap int, opts ...Option) (*Engine, []*Worker) {
+	t.Helper()
 	base := []Option{
 		WithWindow(30),
 		WithConcurrency(2),
@@ -27,7 +34,7 @@ func newTestEngine(t *testing.T, opts ...Option) (*Engine, []*Worker) {
 	t.Cleanup(eng.Close)
 	var workers []*Worker
 	for i := 0; i < 4; i++ {
-		w, err := NewWorker(model.ProviderID(i), 1000, 128, func(model.Query) model.Intention { return 0.5 })
+		w, err := NewWorker(model.ProviderID(i), 1000, queueCap, func(model.Query) model.Intention { return 0.5 })
 		if err != nil {
 			t.Fatal(err)
 		}

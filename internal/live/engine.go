@@ -424,7 +424,8 @@ func (s *Service) Submit(ctx context.Context, q model.Query, results chan<- Resu
 	if q.Trace.Sampled {
 		dStart = trace.Now()
 	}
-	derr := s.dispatchSelected(ctx, q, a, results)
+	var buf [16]Executor
+	_, derr := s.dispatch(ctx, q, s.selectedWorkers(a, buf[:0]), results, nil)
 	if q.Trace.Sampled && s.tracer != nil {
 		s.tracer.RecordSpan(q.Trace.ID, trace.Span{
 			Name:  trace.StageDispatch,
@@ -476,9 +477,10 @@ func (s *Service) process(ctx context.Context, t *Ticket) {
 	sh.mu.Lock()
 	sh.applyPolicy() // adopt a reconfigured policy at the mediation boundary
 	a, err := sh.med.Mediate(ctx, t.query.IssuedAt, t.query)
+	var buf [16]Executor
 	var workers []Executor
 	if err == nil {
-		workers = s.selectedWorkers(a)
+		workers = s.selectedWorkers(a, buf[:0])
 	}
 	sh.mu.Unlock()
 	s.finishTicket(ctx, t, sh, a, err, workers)
@@ -486,9 +488,9 @@ func (s *Service) process(ctx context.Context, t *Ticket) {
 
 // finishTicket dispatches a mediated ticket and completes it: on mediation
 // failure the ticket fails immediately; otherwise the query is handed to
-// the selected workers and the ticket completes with the allocation, the
-// dispatch error (if any), and — on the collecting ticket path — a pending
-// result count covering exactly the workers that accepted.
+// the selected workers and the ticket settles with the allocation, the
+// dispatch error (if any), and — on the collecting ticket path — the count
+// of workers that accepted, each of which reports to the ticket once.
 func (s *Service) finishTicket(ctx context.Context, t *Ticket, sh *shard, a *model.Allocation, merr error, workers []Executor) {
 	if merr != nil {
 		merr = dispatchErr(t.query, merr)
@@ -498,24 +500,24 @@ func (s *Service) finishTicket(ctx context.Context, t *Ticket, sh *shard, a *mod
 				s.obs.OnDispatchFailure(t.query, nil, merr)
 			}
 		}
-		t.finish(nil, merr, nil, 0)
+		t.finish(nil, merr, 0)
 		s.traceFinish(t.query, "rejected", merr, nil)
 		return
 	}
-	ch := t.userResults
+	results, tk := t.userResults, (*Ticket)(nil)
 	if t.collect {
-		// Both channels are sized to the selection so neither a worker's
-		// result delivery nor a closing worker's abandonment signal can
-		// ever block.
-		t.resCh = make(chan Result, len(workers))
-		t.abandonCh = make(chan model.ProviderID, len(workers))
-		ch = t.resCh
+		// Workers report to the ticket itself; it must be ready for their
+		// reports before the first hand-off.
+		results, tk = nil, t
+		if len(workers) > 0 {
+			t.expect(len(workers))
+		}
 	}
 	var dStart int64
 	if t.query.Trace.Sampled {
 		dStart = trace.Now()
 	}
-	err := s.dispatch(ctx, t.query, workers, ch, t.abandonCh)
+	accepted, err := s.dispatch(ctx, t.query, workers, results, tk)
 	if t.query.Trace.Sampled && s.tracer != nil {
 		s.tracer.RecordSpan(t.query.Trace.ID, trace.Span{
 			Name:  trace.StageDispatch,
@@ -524,83 +526,55 @@ func (s *Service) finishTicket(ctx context.Context, t *Ticket, sh *shard, a *mod
 			Extra: int64(len(workers)),
 		})
 	}
-	expected := len(workers)
 	if err != nil {
 		sh.dispatchFailures.Add(1)
 		if s.obs != nil {
 			s.obs.OnDispatchFailure(t.query, a, err)
 		}
-		if de, ok := AsDispatchError(err); ok {
-			expected = len(de.Accepted)
-		}
 	}
 	if !t.collect {
-		expected = 0
+		accepted = 0
 	}
-	t.finish(a, err, t.resCh, expected)
+	t.finish(a, err, accepted)
 	s.traceFinish(t.query, "allocated", err, a.Explain)
 }
 
-// selectedWorkers resolves the dispatchable executors of an allocation.
-func (s *Service) selectedWorkers(a *model.Allocation) []Executor {
-	workers := make([]Executor, 0, len(a.Selected))
+// selectedWorkers appends the dispatchable executors of an allocation to buf
+// and returns it. Selected providers that are not executors (never
+// registered as workers, or departed since mediation) are skipped: delivery
+// to them is out of band.
+func (s *Service) selectedWorkers(a *model.Allocation, buf []Executor) []Executor {
 	for _, pid := range a.Selected {
 		if w, ok := s.dir.Provider(pid).(Executor); ok {
-			workers = append(workers, w)
+			buf = append(buf, w)
 		}
 	}
-	return workers
+	return buf
 }
 
-// dispatch hands the query to every selected worker. Unlike the historical
-// fail-fast hand-off it attempts all workers even after one refuses, so the
-// returned *DispatchError partitions the selection into the workers that
-// accepted (and will deliver Results) and the ones that did not — the
-// retryable remainder. abandon (nil on the non-collecting path) lets a
-// worker that shuts down mid-execution tell the ticket its result will
-// never come.
-func (s *Service) dispatch(ctx context.Context, q model.Query, workers []Executor, results chan<- Result, abandon chan<- model.ProviderID) error {
-	var accepted, failed []model.ProviderID
+// dispatch hands the query to every selected worker and returns how many
+// accepted. Unlike the historical fail-fast hand-off it attempts all workers
+// even after one refuses, so the returned *DispatchError partitions the
+// selection into the workers that accepted (and will deliver Results) and
+// the ones that did not — the retryable remainder. Workers deliver to tk
+// on the collecting ticket path and to results otherwise. The partition is
+// tracked in stack buffers and copied into a DispatchError only when a
+// worker actually refuses, so full delivery allocates nothing.
+func (s *Service) dispatch(ctx context.Context, q model.Query, workers []Executor, results chan<- Result, tk *Ticket) (int, error) {
+	var acceptedArr, failedArr [16]model.ProviderID
+	accepted := acceptedArr[:0]
+	failed := failedArr[:0]
 	for _, w := range workers {
-		if w.accept(ctx, q, results, abandon) {
+		if w.accept(ctx, q, results, tk) {
 			accepted = append(accepted, w.ProviderID())
 		} else {
 			failed = append(failed, w.ProviderID())
 		}
 	}
 	if len(failed) == 0 {
-		return nil
+		return len(accepted), nil
 	}
-	return &DispatchError{Query: q, Accepted: accepted, Failed: failed, Err: ctx.Err()}
-}
-
-// dispatchSelected is dispatch for the synchronous non-collecting path: it
-// resolves executors straight from the allocation's selection (no
-// intermediate worker slice) and tracks the accepted/failed partition in
-// stack buffers, copying into a DispatchError only when a worker actually
-// refuses — full delivery allocates nothing.
-func (s *Service) dispatchSelected(ctx context.Context, q model.Query, a *model.Allocation, results chan<- Result) error {
-	var acceptedArr, failedArr [16]model.ProviderID
-	accepted := acceptedArr[:0]
-	failed := failedArr[:0]
-	for _, pid := range a.Selected {
-		w, ok := s.dir.Provider(pid).(Executor)
-		if !ok {
-			// Not dispatchable (never registered as a worker, or departed
-			// since mediation): delivery is out of band, same as dispatch's
-			// selectedWorkers filtering.
-			continue
-		}
-		if w.accept(ctx, q, results, nil) {
-			accepted = append(accepted, pid)
-		} else {
-			failed = append(failed, pid)
-		}
-	}
-	if len(failed) == 0 {
-		return nil
-	}
-	return &DispatchError{
+	return len(accepted), &DispatchError{
 		Query:    q,
 		Accepted: append([]model.ProviderID(nil), accepted...),
 		Failed:   append([]model.ProviderID(nil), failed...),
@@ -674,10 +648,20 @@ func (s *Service) processGroup(ctx context.Context, sh *shard, tickets []*Ticket
 	sh.mu.Lock()
 	sh.applyPolicy() // batches are one mediation boundary: one policy per batch
 	as, errs := sh.med.MediateBatch(ctx, now, qs)
+	// One backing array holds every ticket's executors.
+	n := 0
+	for j := range as {
+		if errs[j] == nil {
+			n += len(as[j].Selected)
+		}
+	}
+	all := make([]Executor, 0, n)
 	workers := make([][]Executor, len(tickets))
 	for j := range as {
 		if errs[j] == nil {
-			workers[j] = s.selectedWorkers(as[j])
+			from := len(all)
+			all = s.selectedWorkers(as[j], all)
+			workers[j] = all[from:len(all):len(all)]
 		}
 	}
 	sh.mu.Unlock()

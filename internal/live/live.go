@@ -74,7 +74,7 @@ type Result struct {
 type Executor interface {
 	ProviderID() model.ProviderID
 	QueueDepth() int
-	accept(ctx context.Context, q model.Query, results chan<- Result, abandon chan<- model.ProviderID) bool
+	accept(ctx context.Context, q model.Query, results chan<- Result, tk *Ticket) bool
 }
 
 // Worker executes queries at a fixed capacity without a goroutine of its
@@ -114,14 +114,15 @@ type Worker struct {
 }
 
 type task struct {
-	q       model.Query
+	q model.Query
+	// results receives the task's Result on the non-collecting paths.
 	results chan<- Result
-	// abandon, when non-nil, receives the worker's ID if the worker shuts
-	// down before delivering this task's result — the engine's ticket
-	// collectors account for every accepted task, delivered or not. The
-	// channel is buffered by the dispatcher so the send never blocks.
-	abandon chan<- model.ProviderID
-	start   time.Time
+	// ticket, set on the collecting ticket path instead of results, takes
+	// the task's Result — or, if the worker shuts down first, its
+	// abandonment — so the ticket accounts for every accepted task,
+	// delivered or not. Neither report blocks the worker.
+	ticket *Ticket
+	start  time.Time
 }
 
 // NewWorker builds an idle worker. capacity must be > 0; queueCap bounds the
@@ -160,10 +161,11 @@ func (w *Worker) serve(t task) {
 
 // complete is the timer callback: it retires the task in service, delivers
 // its result, then starts the next waiting task or marks the worker idle.
-// The worker serves nothing until the result send completes, so a consumer
-// that stops reading results backs the worker's queue up until accept
-// refuses. A callback that finds nothing in service lost a race with Close,
-// which already abandoned the task.
+// A ticket takes the result without blocking. On a results channel the
+// worker serves nothing until the send completes, so a consumer that stops
+// reading that channel backs the worker's queue up until accept refuses. A
+// callback that finds nothing in service lost a race with Close, which
+// already abandoned the task.
 func (w *Worker) complete() {
 	w.mu.Lock()
 	if !w.serving {
@@ -178,8 +180,13 @@ func (w *Worker) complete() {
 	}
 	w.queueLen--
 	w.mu.Unlock()
-	if t.results != nil {
-		t.results <- Result{Query: t.q, Provider: w.id, Latency: time.Since(t.start)}
+	if t.ticket != nil || t.results != nil {
+		r := Result{Query: t.q, Provider: w.id, Latency: time.Since(t.start)}
+		if t.ticket != nil {
+			t.ticket.deliver(r)
+		} else {
+			t.results <- r
+		}
 	}
 	w.mu.Lock()
 	if next, ok := w.waiting.pop(); ok {
@@ -198,11 +205,11 @@ func (w *Worker) complete() {
 // happens under the worker mutex against the shutdown flag, so a task is
 // either refused or guaranteed to be delivered or abandoned — never
 // silently lost.
-func (w *Worker) accept(ctx context.Context, q model.Query, results chan<- Result, abandon chan<- model.ProviderID) bool {
+func (w *Worker) accept(ctx context.Context, q model.Query, results chan<- Result, tk *Ticket) bool {
 	if ctx.Err() != nil {
 		return false
 	}
-	t := task{q: q, results: results, abandon: abandon, start: time.Now()}
+	t := task{q: q, results: results, ticket: tk, start: time.Now()}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	switch {
@@ -221,8 +228,9 @@ func (w *Worker) accept(ctx context.Context, q model.Query, results chan<- Resul
 
 // Close stops the worker. The task in service and the queued ones are
 // abandoned: their Results never arrive, but tasks dispatched through the
-// ticket path signal their tickets so collectors complete instead of waiting
-// forever. A result already being delivered still arrives.
+// ticket path report the abandonment to their tickets, which complete
+// instead of waiting forever. A result already being delivered still
+// arrives.
 func (w *Worker) Close() {
 	w.mu.Lock()
 	if w.shutdown {
@@ -246,8 +254,8 @@ func (w *Worker) Close() {
 }
 
 func (w *Worker) signalAbandon(t task) {
-	if t.abandon != nil {
-		t.abandon <- w.id
+	if t.ticket != nil {
+		t.ticket.abandonTask(w.id)
 	}
 }
 
@@ -283,7 +291,7 @@ func (r *taskRing) pop() (task, bool) {
 		return task{}, false
 	}
 	t := r.buf[r.head]
-	r.buf[r.head] = task{} // drop the channel references
+	r.buf[r.head] = task{} // drop the channel and ticket references
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return t, true

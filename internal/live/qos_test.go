@@ -257,12 +257,15 @@ func TestQoSChurnUnderRace(t *testing.T) {
 		},
 		DefaultClass: qos.Interactive,
 	}
-	eng, _ := newTestEngine(t, WithQoS(specA), WithObserver(event.Funcs{Shed: func(event.Shed) {}}))
-
 	const (
 		submitters = 4
 		perWorker  = 100
 	)
+	// Every worker can hold all the submissions at once: a worker refusing
+	// a full queue (ErrDispatch) is documented accept behaviour, not a QoS
+	// outcome, and would fail the error check below whenever the submitters
+	// outrun the workers.
+	eng, _ := newTestEngineQueue(t, submitters*perWorker, WithQoS(specA), WithObserver(event.Funcs{Shed: func(event.Shed) {}}))
 	classes := []string{qos.Interactive, qos.Background, qos.Batch, "unknown-class", ""}
 	var wg sync.WaitGroup
 	errCh := make(chan error, submitters*perWorker)

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"sync"
 
 	"sbqa/internal/model"
 )
@@ -19,24 +20,29 @@ import (
 //     Done's channel closes here; Await blocks for it; Results returns the
 //     collected per-worker results.
 //
-// On the collecting path (the Engine default) the ticket owns a private
-// result channel sized to the selection, so workers never block on result
-// delivery and the caller needs no shared results channel. Allocations to
-// registered providers that are not dispatchable *Worker instances produce
-// no Results (delivery is out of band), so a ticket completes when its
-// dispatched workers — not its full selection — have reported.
+// On the collecting path (the Engine default) the workers settle the ticket
+// themselves: each accepted task holds the *Ticket, and the worker appends
+// its Result (or, when it shuts down first, its abandonment) under the
+// ticket's mutex. A ticket in flight therefore costs its struct and its
+// results slice — no goroutine and no per-ticket channel beyond Done. The
+// report that accounts for the last accepting worker closes Done and runs
+// the completion hook (WithOnDone). Allocations to registered providers that
+// are not dispatchable *Worker instances produce no Results (delivery is out
+// of band), so a ticket completes when its dispatched workers — not its full
+// selection — have reported.
 //
 // A ticket always completes: mediation failures complete it immediately,
 // partial dispatch failures complete it when the accepting workers finish
 // (the *DispatchError from Allocation or Await lists the remainder to
-// retry), and a worker closed mid-execution signals abandonment for its
-// queued tasks, which the collector accounts for (see Abandoned) instead
-// of waiting forever.
+// retry), and a worker closed mid-execution reports abandonment for its
+// queued tasks (see Abandoned) instead of leaving the ticket waiting forever.
 type Ticket struct {
 	query model.Query
 
 	// userResults is the optional caller-supplied channel (WithResults /
-	// the blocking wrappers); collected results are forwarded to it.
+	// the blocking wrappers). On the collecting path a per-ticket forwarder
+	// copies the collected results to it; otherwise workers send to it
+	// directly.
 	userResults chan<- Result
 
 	// collect selects the ticket-owned result path. The blocking wrappers
@@ -44,20 +50,32 @@ type Ticket struct {
 	// ticket is done at hand-off, exactly like the v1 API.
 	collect bool
 
-	// resCh receives the dispatched workers' results on the collecting
-	// path; created at dispatch time, sized to the selection. abandonCh
-	// receives the IDs of accepted workers that shut down before
-	// delivering, so the collector accounts for every accepted task.
-	resCh     chan Result
-	abandonCh chan model.ProviderID
+	// onDone, when set (WithOnDone), runs once on the goroutine that
+	// completes the ticket, after Done has closed.
+	onDone func(*Ticket)
 
 	allocated chan struct{} // closed once alloc/err are set
 	alloc     *model.Allocation
 	err       error
 
-	done      chan struct{} // closed once results are complete
+	// mu guards the completion ledger below. outstanding counts the
+	// accepting workers that have not reported yet: reports decrement it,
+	// finish adds the accepted count once dispatch is over, so it dips below
+	// zero while deliveries outrun finish. It reaches zero, with settled
+	// set, exactly once.
+	mu          sync.Mutex
+	outstanding int
+	settled     bool
+	// forward, set on the collecting path when userResults is, queues the
+	// collected results for the forwarder goroutine. It is buffered to the
+	// number of dispatched workers, so a report never blocks a worker
+	// whatever the reader does; the forwarder completes the ticket once it
+	// has handed every result on.
+	forward   chan Result
 	results   []Result
 	abandoned []model.ProviderID
+
+	done chan struct{} // closed once results are complete
 }
 
 // newTicket returns a ticket for q. userResults may be nil; collect selects
@@ -72,33 +90,98 @@ func newTicket(q model.Query, userResults chan<- Result, collect bool) *Ticket {
 	}
 }
 
+// expect prepares a collecting ticket for dispatch to n workers, before any
+// of them can report: it sizes the results slice and, with a WithResults
+// channel, the forwarding queue.
+func (t *Ticket) expect(n int) {
+	t.results = make([]Result, 0, n)
+	if t.userResults != nil {
+		t.forward = make(chan Result, n)
+	}
+}
+
 // finish completes the allocation stage: it publishes the allocation and
-// error, then either closes done immediately (nothing to collect) or spawns
-// the collector that accounts for every accepted worker — a delivered
-// Result or an abandonment signal from a worker that shut down first —
-// so the ticket always completes, even under worker churn.
-func (t *Ticket) finish(a *model.Allocation, err error, resCh chan Result, expected int) {
+// error, then settles the ticket's ledger with the number of workers that
+// accepted the query. With none outstanding the ticket completes here;
+// otherwise the last worker to report completes it (deliver/abandonTask).
+func (t *Ticket) finish(a *model.Allocation, err error, accepted int) {
 	t.alloc = a
 	t.err = err
 	close(t.allocated)
-	if expected == 0 || resCh == nil {
-		close(t.done)
+	t.mu.Lock()
+	t.outstanding += accepted
+	t.settled = true
+	last := t.settledLocked()
+	forward := t.forward
+	t.mu.Unlock()
+	if forward != nil {
+		go t.forwardResults(forward)
 		return
 	}
-	go func() {
-		for i := 0; i < expected; i++ {
-			select {
-			case r := <-resCh:
-				t.results = append(t.results, r)
-				if t.userResults != nil {
-					t.userResults <- r
-				}
-			case id := <-t.abandonCh:
-				t.abandoned = append(t.abandoned, id)
-			}
-		}
-		close(t.done)
-	}()
+	if last {
+		t.complete()
+	}
+}
+
+// deliver records one accepting worker's result. Called by the worker, never
+// blocking.
+func (t *Ticket) deliver(r Result) {
+	t.mu.Lock()
+	t.results = append(t.results, r)
+	if t.forward != nil {
+		t.forward <- r // buffered to the dispatched workers: never blocks
+	}
+	t.outstanding--
+	last := t.settledLocked()
+	t.mu.Unlock()
+	if last {
+		t.complete()
+	}
+}
+
+// abandonTask records that an accepting worker shut down before delivering.
+func (t *Ticket) abandonTask(p model.ProviderID) {
+	t.mu.Lock()
+	t.abandoned = append(t.abandoned, p)
+	t.outstanding--
+	last := t.settledLocked()
+	t.mu.Unlock()
+	if last {
+		t.complete()
+	}
+}
+
+// settledLocked reports whether the caller just accounted for the last
+// accepting worker and must complete the ticket. With a forwarder, it
+// closes the forwarding queue instead: the forwarder completes the ticket
+// after handing on what the queue still holds. Called with mu held.
+func (t *Ticket) settledLocked() bool {
+	if !t.settled || t.outstanding != 0 {
+		return false
+	}
+	if t.forward != nil {
+		close(t.forward)
+		return false
+	}
+	return true
+}
+
+// forwardResults copies the collected results to the WithResults channel,
+// then completes the ticket. A slow reader delays only this ticket.
+func (t *Ticket) forwardResults(forward <-chan Result) {
+	for r := range forward {
+		t.userResults <- r
+	}
+	t.complete()
+}
+
+// complete closes Done and runs the completion hook. Exactly one caller
+// reaches it per ticket.
+func (t *Ticket) complete() {
+	close(t.done)
+	if t.onDone != nil {
+		t.onDone(t)
+	}
 }
 
 // Query returns the submitted query with its engine-assigned ID and issue

@@ -136,27 +136,32 @@ func TestWorkerLatencyCoversService(t *testing.T) {
 }
 
 // acceptLedger drives a worker and accounts for every accepted task. Each
-// task gets its own abandon channel, so an abandon signal names the task.
+// task reports to its own ticket, which forwards a delivered result to the
+// ledger's results channel and records an abandonment, so an abandon signal
+// names the task.
 type acceptLedger struct {
 	mu        sync.Mutex
-	accepted  map[model.QueryID]chan model.ProviderID
+	accepted  map[model.QueryID]*Ticket
 	delivered map[model.QueryID]int
 }
 
 func newAcceptLedger() *acceptLedger {
 	return &acceptLedger{
-		accepted:  make(map[model.QueryID]chan model.ProviderID),
+		accepted:  make(map[model.QueryID]*Ticket),
 		delivered: make(map[model.QueryID]int),
 	}
 }
 
 func (l *acceptLedger) accept(w *Worker, id model.QueryID, work float64, results chan<- Result) bool {
-	abandon := make(chan model.ProviderID, 2) // room for a wrongful second signal
-	if !w.accept(context.Background(), model.Query{ID: id, Work: work}, results, abandon) {
+	q := model.Query{ID: id, Work: work}
+	tk := newTicket(q, results, true)
+	tk.expect(1)
+	if !w.accept(context.Background(), q, nil, tk) {
 		return false
 	}
+	tk.finish(nil, nil, 1)
 	l.mu.Lock()
-	l.accepted[id] = abandon
+	l.accepted[id] = tk
 	l.mu.Unlock()
 	return true
 }
@@ -171,8 +176,8 @@ func (l *acceptLedger) deliver(r Result) {
 func (l *acceptLedger) settled() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for id, ab := range l.accepted {
-		if l.delivered[id] == 0 && len(ab) == 0 {
+	for id, tk := range l.accepted {
+		if l.delivered[id] == 0 && len(tk.Abandoned()) == 0 {
 			return false
 		}
 	}
@@ -193,10 +198,10 @@ func (l *acceptLedger) check(t *testing.T, worker model.ProviderID) (delivered, 
 			t.Errorf("query %d delivered %d times", id, n)
 		}
 	}
-	for id, ab := range l.accepted {
-		signals := len(ab)
-		for i := 0; i < signals; i++ {
-			if p := <-ab; p != worker {
+	for id, tk := range l.accepted {
+		signals := len(tk.Abandoned())
+		for _, p := range tk.Abandoned() {
+			if p != worker {
 				t.Errorf("query %d abandoned by provider %d", id, p)
 			}
 		}

@@ -14,8 +14,8 @@ type retainingAllocator struct {
 	retained []model.ProviderSnapshot
 }
 
-func (r *retainingAllocator) Name() string       { return "retaining" }
-func (r *retainingAllocator) Interactive() bool  { return false }
+func (r *retainingAllocator) Name() string      { return "retaining" }
+func (r *retainingAllocator) Interactive() bool { return false }
 func (r *retainingAllocator) Allocate(_ context.Context, _ alloc.Env, q model.Query, candidates []model.ProviderSnapshot) (*model.Allocation, error) {
 	r.retained = candidates // the bug under test
 	a := &model.Allocation{Query: q}

@@ -76,7 +76,11 @@ func NewConsumerFromState(st ConsumerState) (*ConsumerTracker, error) {
 	if err := validateWindow(st.K, st.Next, len(st.Records)); err != nil {
 		return nil, err
 	}
-	t := &ConsumerTracker{k: st.K, buf: make([]consumerRecord, st.K), next: st.Next, n: len(st.Records)}
+	t := NewConsumer(st.K)
+	if len(st.Records) > len(t.buf) {
+		t.buf = make([]consumerRecord, st.K)
+	}
+	t.next, t.n = st.Next, len(st.Records)
 	for i, r := range st.Records {
 		t.buf[i] = consumerRecord{obtained: r.Obtained, best: r.Best, adequation: r.Adequation}
 	}
@@ -111,7 +115,11 @@ func NewProviderFromState(st ProviderState) (*ProviderTracker, error) {
 	if err := validateWindow(st.K, st.Next, len(st.Records)); err != nil {
 		return nil, err
 	}
-	t := &ProviderTracker{k: st.K, buf: make([]providerRecord, st.K), next: st.Next, n: len(st.Records)}
+	t := NewProvider(st.K)
+	if len(st.Records) > len(t.buf) {
+		t.buf = make([]providerRecord, st.K)
+	}
+	t.next, t.n = st.Next, len(st.Records)
 	for i, r := range st.Records {
 		t.buf[i] = providerRecord{intention: r.Intention, performed: r.Performed}
 	}

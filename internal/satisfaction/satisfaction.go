@@ -116,14 +116,30 @@ type consumerRecord struct {
 	adequation float64 // mean intention toward P_q, in [0,1]
 }
 
+// firstChunk is the number of window slots a tracker carries inline. Most
+// participants of a large fleet are proposed far fewer than k queries for a
+// long while, so the window starts in this chunk, allocated with the
+// tracker itself, and moves to one buffer of k slots when the chunk fills.
+// A tracker therefore costs at most two allocations over its lifetime
+// (itself, then its full window), and a sparsely used one costs a single
+// small object instead of k slots.
+//
+// Before the ring first wraps the records fill slots 0..n-1 in order with
+// next == n, so moving them keeps the layout — and every float sum over it —
+// that a buffer of k slots allocated up front would hold. The move is one
+// expression, so ProviderTracker.Record stays cheap enough to inline.
+const firstChunk = 8
+
 // ConsumerTracker maintains a consumer's interaction memory IQ_c^k and
 // derives its long-run satisfaction (Definition 1), adequation and
 // allocation satisfaction. The zero value is not usable; call NewConsumer.
+// Its window grows on demand (see firstChunk).
 type ConsumerTracker struct {
-	k    int
-	buf  []consumerRecord
-	next int
-	n    int // number of valid records (≤ k)
+	k     int
+	buf   []consumerRecord // chunk[:min(k, firstChunk)], then k slots
+	next  int
+	n     int // number of valid records (≤ k)
+	chunk [firstChunk]consumerRecord
 }
 
 // NewConsumer returns a tracker remembering the k last queries. k < 1 falls
@@ -132,7 +148,9 @@ func NewConsumer(k int) *ConsumerTracker {
 	if k < 1 {
 		k = DefaultWindow
 	}
-	return &ConsumerTracker{k: k, buf: make([]consumerRecord, k)}
+	t := &ConsumerTracker{k: k}
+	t.buf = t.chunk[:min(k, firstChunk)]
+	return t
 }
 
 // Window returns k, the memory length.
@@ -149,6 +167,9 @@ func (t *ConsumerTracker) Record(obtained, best, adequation float64) {
 		obtained:   clamp01(obtained),
 		best:       clamp01(best),
 		adequation: clamp01(adequation),
+	}
+	if t.next == len(t.buf) {
+		t.buf = append(make([]consumerRecord, 0, t.k), t.buf...)[:t.k]
 	}
 	t.buf[t.next] = rec
 	t.next = (t.next + 1) % t.k
@@ -237,12 +258,13 @@ type providerRecord struct {
 // mediator *proposed* to it (vector PPI_p in the paper) and which of those
 // it actually performed (set SQ_p^k), and derives Definition 2 satisfaction
 // plus adequation and allocation satisfaction. The zero value is not usable;
-// call NewProvider.
+// call NewProvider. Its window grows on demand (see firstChunk).
 type ProviderTracker struct {
-	k    int
-	buf  []providerRecord
-	next int
-	n    int
+	k     int
+	buf   []providerRecord // chunk[:min(k, firstChunk)], then k slots
+	next  int
+	n     int
+	chunk [firstChunk]providerRecord
 }
 
 // NewProvider returns a tracker remembering the k last proposed queries.
@@ -251,7 +273,9 @@ func NewProvider(k int) *ProviderTracker {
 	if k < 1 {
 		k = DefaultWindow
 	}
-	return &ProviderTracker{k: k, buf: make([]providerRecord, k)}
+	t := &ProviderTracker{k: k}
+	t.buf = t.chunk[:min(k, firstChunk)]
+	return t
 }
 
 // Window returns k, the memory length.
@@ -263,6 +287,9 @@ func (t *ProviderTracker) Interactions() int { return t.n }
 // Record remembers one proposal: the intention the provider expressed for
 // the query and whether the mediator allocated the query to it.
 func (t *ProviderTracker) Record(pi model.Intention, performed bool) {
+	if t.next == len(t.buf) {
+		t.buf = append(make([]providerRecord, 0, t.k), t.buf...)[:t.k]
+	}
 	t.buf[t.next] = providerRecord{intention: pi.Clamp().Unit(), performed: performed}
 	t.next = (t.next + 1) % t.k
 	if t.n < t.k {

@@ -58,10 +58,10 @@ import (
 	"sbqa/internal/policy"
 	"sbqa/internal/qos"
 	"sbqa/internal/satisfaction"
-	"sbqa/internal/trace"
 	"sbqa/internal/score"
 	"sbqa/internal/stats"
 	"sbqa/internal/topics"
+	"sbqa/internal/trace"
 	"sbqa/internal/workload"
 )
 
@@ -630,6 +630,11 @@ func WithParticipantDeadline(d time.Duration) EngineOption {
 // WithResults forwards one submission's per-worker results to ch in
 // addition to collecting them on the ticket.
 func WithResults(ch chan<- LiveResult) QueryOption { return live.WithResults(ch) }
+
+// WithOnDone runs fn exactly once per ticket, on the goroutine that
+// completes it, right after Done closes; fn must not block. It stands in
+// for a goroutine parked on Done.
+func WithOnDone(fn func(*Ticket)) QueryOption { return live.WithOnDone(fn) }
 
 // FireAndForget disables a ticket's result collection (the v1 contract:
 // workers deliver straight to the WithResults channel, the ticket is done
